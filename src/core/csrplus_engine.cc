@@ -64,6 +64,17 @@ void ApplyThreadOptions(const CsrPlusOptions& options) {
   if (options.num_threads > 0) SetNumThreads(options.num_threads);
 }
 
+// Rows per score panel in the query phase: |Q| output doubles plus the
+// r-wide Z row per panel row stay within ~64 KiB, so the damping multiply,
+// the f32 widening and the top-k scan all run on cache-hot data.
+Index PanelRows(Index num_queries, Index rank) {
+  constexpr Index kPanelBytes = Index{64} << 10;
+  return std::clamp<Index>(
+      kPanelBytes /
+          ((num_queries + rank) * static_cast<Index>(sizeof(double))),
+      8, 1024);
+}
+
 }  // namespace
 
 Result<CsrPlusEngine> CsrPlusEngine::Precompute(const graph::Graph& g,
@@ -257,17 +268,11 @@ Result<DenseMatrix> CsrPlusEngine::MultiSourceQuery(
   CSR_RETURN_IF_ERROR(ValidateQueries(queries, n));
   // Account both the n x |Q| output block and the transient scratch — near
   // the cap the query fails for the block *plus* its scratch, keeping the
-  // "fails due to memory explosion" reproduction honest. f64 scratch is the
-  // |Q| x r copy of [U]_{Q,*}; the f32 tier instead carries an r x |Q|
-  // float panel and an n x |Q| float accumulator.
-  const int64_t nq64 = static_cast<int64_t>(queries.size());
-  const int64_t out_bytes = n * nq64 * static_cast<int64_t>(sizeof(double));
-  const int64_t scratch_bytes =
-      precision_ == Precision::kF32
-          ? (rank() + n) * nq64 * static_cast<int64_t>(sizeof(float))
-          : nq64 * rank() * static_cast<int64_t>(sizeof(double));
+  // "fails due to memory explosion" reproduction honest.
+  const Index nq = static_cast<Index>(queries.size());
   CSR_RETURN_IF_ERROR(MemoryBudget::Global().TryReserve(
-      out_bytes + scratch_bytes, "CSR+ multi-source output"));
+      n * nq * static_cast<int64_t>(sizeof(double)) + QueryScratchBytes(nq),
+      "CSR+ multi-source output"));
   CSRPLUS_OBS_SCOPED_US("csrplus.phase.query_us",
                         "top-level CSR+ query entry points (Alg. 1 line 7)");
   CSRPLUS_OBS_COUNTER_ADD("csrplus.query.multi_source", "calls",
@@ -278,66 +283,97 @@ Result<DenseMatrix> CsrPlusEngine::MultiSourceQuery(
   CSRPLUS_TRACE_SPAN_ARG(span, obs::spans::kQuery, "num_queries",
                          static_cast<int64_t>(queries.size()));
   CSRPLUS_TRACE_ARG(span, "n", n);
-
   // Line 7: [S]_{*,Q} = [I_n]_{*,Q} + c Z [U]_{Q,*}^T.
+  return ScoreBlock(queries);
+}
+
+int64_t CsrPlusEngine::QueryScratchBytes(Index num_queries) const {
+  const Index n = num_nodes();
+  const Index r = rank();
+  if (precision_ == Precision::kF64) {
+    return r * num_queries * static_cast<int64_t>(sizeof(double));
+  }
+  const int64_t panel_rows = std::min<int64_t>(
+      n, ParallelShardCount(n, n * r * num_queries) * PanelRows(num_queries, r));
+  return (r + panel_rows) * num_queries * static_cast<int64_t>(sizeof(float));
+}
+
+CsrPlusEngine::QueryOperand CsrPlusEngine::MakeQueryOperand(
+    const std::vector<Index>& queries) const {
+  const Index r = rank();
+  const std::size_t nq = queries.size();
+  QueryOperand operand;
+  operand.queries = &queries;
   if (precision_ == Precision::kF32) {
     CSRPLUS_OBS_COUNTER_ADD("csrplus.kernel.f32_queries", "calls",
                             "queries answered by the float32 serving tier",
                             1);
-    DenseMatrix s = ScaledScoreBlockF32(queries);
-    for (std::size_t j = 0; j < queries.size(); ++j) {
-      s(queries[j], static_cast<Index>(j)) += 1.0;
-    }
-    return s;
   }
-  const DenseMatrix u_q = u().SelectRows(queries);  // |Q| x r
-  DenseMatrix s = linalg::Gemm(z(), u_q, linalg::Transpose::kNo,
-                               linalg::Transpose::kYes);  // n x |Q|
-  linalg::ScaleInPlace(damping_, &s);
-  for (std::size_t j = 0; j < queries.size(); ++j) {
-    s(queries[j], static_cast<Index>(j)) += 1.0;
-  }
-  return s;
-}
-
-DenseMatrix CsrPlusEngine::ScaledScoreBlockF32(
-    const std::vector<Index>& queries) const {
-  const Index n = num_nodes();
-  const Index r = rank();
-  const Index nq = static_cast<Index>(queries.size());
-  // r x nq panel: bt[p][j] = u32[queries[j]][p], i.e. [U32]_{Q,*}^T laid out
-  // for the NN driver.
-  std::vector<float> bt(static_cast<std::size_t>(r) *
-                        static_cast<std::size_t>(nq));
-  for (Index j = 0; j < nq; ++j) {
-    const float* uq = u32_.data() +
-                      static_cast<std::size_t>(queries[static_cast<std::size_t>(j)]) *
-                          static_cast<std::size_t>(r);
-    for (Index p = 0; p < r; ++p) {
-      bt[static_cast<std::size_t>(p) * static_cast<std::size_t>(nq) +
-         static_cast<std::size_t>(j)] = uq[p];
-    }
-  }
-  DenseMatrix s(n, nq);
-  const linalg::kernels::KernelTable<float>& kt = linalg::kernels::F32();
-  // Row shards accumulate in float through the SIMD axpy (each element's
-  // products in ascending p — the same float sequence the f32 single-source
-  // dot computes, so single- and multi-source columns stay bit-identical),
-  // then widen with the damping multiply in double.
-  ParallelFor(n, n * r * nq, [&](Index begin, Index end) {
-    const std::size_t rows = static_cast<std::size_t>(end - begin);
-    std::vector<float> acc(rows * static_cast<std::size_t>(nq), 0.0f);
-    linalg::kernels::GemmNnTiled(
-        kt, z32_.data() + static_cast<std::size_t>(begin) * static_cast<std::size_t>(r),
-        r, bt.data(), nq, acc.data(), nq, end - begin, r, nq);
-    for (Index i = begin; i < end; ++i) {
-      double* srow = s.RowPtr(i);
-      const float* arow =
-          acc.data() + static_cast<std::size_t>(i - begin) * static_cast<std::size_t>(nq);
-      for (Index j = 0; j < nq; ++j) {
-        srow[j] = damping_ * static_cast<double>(arow[j]);
+  // bt[p][j] = U[queries[j]][p]: [U]_{Q,*}^T laid out for the NN driver.
+  const auto fill = [&](auto* bt, auto row_of) {
+    bt->resize(static_cast<std::size_t>(r) * nq);
+    for (std::size_t j = 0; j < nq; ++j) {
+      const auto* uq = row_of(queries[j]);
+      for (Index p = 0; p < r; ++p) {
+        (*bt)[static_cast<std::size_t>(p) * nq + j] = uq[p];
       }
     }
+  };
+  if (precision_ == Precision::kF32) {
+    fill(&operand.f32, [&](Index q) {
+      return u32_.data() + static_cast<std::size_t>(q * r);
+    });
+  } else {
+    const DenseMatrixView u_view = u();
+    fill(&operand.f64, [&](Index q) { return u_view.RowPtr(q); });
+  }
+  return operand;
+}
+
+void CsrPlusEngine::ScoreRows(const QueryOperand& operand, Index begin,
+                              Index end, double* out,
+                              std::vector<float>* scratch) const {
+  const Index r = rank();
+  const std::vector<Index>& queries = *operand.queries;
+  const Index nq = static_cast<Index>(queries.size());
+  const Index panel = PanelRows(nq, r);
+  for (Index p0 = begin; p0 < end; p0 += panel) {
+    const Index rows = std::min(panel, end - p0);
+    double* dst = out + (p0 - begin) * nq;
+    if (precision_ == Precision::kF32) {
+      // Float accumulation through the SIMD axpy (each element's products
+      // in ascending p — the same float sequence the f32 single-source dot
+      // computes), then the widening damping multiply in double.
+      scratch->assign(static_cast<std::size_t>(rows * nq), 0.0f);
+      linalg::kernels::GemmNnTiled(
+          linalg::kernels::F32(),
+          z32_.data() + static_cast<std::size_t>(p0 * r), r,
+          operand.f32.data(), nq, scratch->data(), nq, rows, r, nq);
+      for (Index e = 0; e < rows * nq; ++e) {
+        dst[e] = damping_ *
+                 static_cast<double>((*scratch)[static_cast<std::size_t>(e)]);
+      }
+    } else {
+      const linalg::kernels::KernelTable<double>& kt = linalg::kernels::F64();
+      linalg::kernels::GemmNnTiled(kt, z().RowPtr(p0), r, operand.f64.data(),
+                                   nq, dst, nq, rows, r, nq);
+      kt.scale(dst, damping_, rows * nq);
+    }
+  }
+  for (Index j = 0; j < nq; ++j) {
+    const Index q = queries[static_cast<std::size_t>(j)];
+    if (q >= begin && q < end) out[(q - begin) * nq + j] += 1.0;
+  }
+}
+
+DenseMatrix CsrPlusEngine::ScoreBlock(const std::vector<Index>& queries) const {
+  const Index n = num_nodes();
+  const Index nq = static_cast<Index>(queries.size());
+  const QueryOperand operand = MakeQueryOperand(queries);
+  DenseMatrix s(n, nq);
+  ParallelFor(n, n * rank() * nq, [&](Index begin, Index end) {
+    std::vector<float> scratch;
+    ScoreRows(operand, begin, end, s.RowPtr(begin), &scratch);
   });
   return s;
 }
@@ -427,14 +463,27 @@ Result<double> CsrPlusEngine::SinglePairQuery(Index a, Index b) const {
   return damping_ * dot + (a == b ? 1.0 : 0.0);
 }
 
-Result<std::vector<std::vector<ScoredNode>>> CsrPlusEngine::TopKQuery(
-    const std::vector<Index>& queries, Index k, bool exclude_query,
-    const std::vector<Index>& exclude) const {
+Result<TopKLists> CsrPlusEngine::TopKQuery(const std::vector<Index>& queries,
+                                           Index k, bool exclude_query) const {
   if (k < 0) {
     return Status::InvalidArgument("k must be non-negative");
   }
   const Index n = num_nodes();
   CSR_RETURN_IF_ERROR(ValidateQueries(queries, n));
+  const Index nq = static_cast<Index>(queries.size());
+  const Index r = rank();
+  const Index width = SelectionWidth(k, exclude_query ? 1 : 0, n);
+  const int shards = ParallelShardCount(n, n * r * nq);
+  const Index panel = PanelRows(nq, r);
+  // Transient scratch: the query operand, one score panel per shard, and the
+  // shard selectors, which hold at most min(width, shard rows) entries each.
+  const int64_t scratch_bytes =
+      QueryScratchBytes(nq) +
+      shards * panel * nq * static_cast<int64_t>(sizeof(double)) +
+      nq * std::min<int64_t>(n, shards * width) *
+          static_cast<int64_t>(sizeof(ScoredNode));
+  CSR_RETURN_IF_ERROR(
+      MemoryBudget::Global().TryReserve(scratch_bytes, "CSR+ top-k scratch"));
   CSRPLUS_OBS_SCOPED_US("csrplus.phase.query_us",
                         "top-level CSR+ query entry points (Alg. 1 line 7)");
   CSRPLUS_OBS_COUNTER_ADD("csrplus.query.sources", "nodes",
@@ -442,26 +491,53 @@ Result<std::vector<std::vector<ScoredNode>>> CsrPlusEngine::TopKQuery(
                           queries.size());
   CSRPLUS_TRACE_SPAN_ARG(topk_span, obs::spans::kQuery, "num_queries",
                          static_cast<int64_t>(queries.size()));
-  // Fan out over queries: each shard owns a contiguous slice of the query
-  // list and reuses one n-length column buffer across its queries. Output
-  // slots are disjoint, so the result is independent of scheduling.
-  std::vector<std::vector<ScoredNode>> out(queries.size());
-  const Index nq = static_cast<Index>(queries.size());
-  const int shards = ParallelShardCount(nq, nq * n * rank());
-  ParallelForShards(nq, shards, [&](int, Index begin, Index end) {
-    std::vector<double> column;
-    for (Index j = begin; j < end; ++j) {
-      const Index q = queries[static_cast<std::size_t>(j)];
-      CSR_CHECK_OK(SingleSourceQueryInto(q, &column));  // validated above
-      std::vector<Index> skip = exclude;
-      if (exclude_query) skip.push_back(q);
-      CSRPLUS_OBS_SCOPED_US(
-          "csrplus.query.topk_select_us",
-          "top-k selection per score column (sub-phase of query)");
-      CSRPLUS_TRACE_SPAN(select_span, obs::spans::kTopKSelect);
-      out[static_cast<std::size_t>(j)] = TopK(column, k, skip);
+  CSRPLUS_TRACE_ARG(topk_span, "n", n);
+  TopKLists out(queries.size());
+  if (width == 0) return out;
+
+  // Each shard owns a contiguous row range and one selector per query; a
+  // panel is produced exactly as MultiSourceQuery would, then scanned while
+  // it is still cache-hot.
+  const QueryOperand operand = MakeQueryOperand(queries);
+  std::vector<std::vector<TopKSelector>> selectors(
+      static_cast<std::size_t>(shards),
+      std::vector<TopKSelector>(queries.size(), TopKSelector(width)));
+  ParallelForShards(n, shards, [&](int s, Index begin, Index end) {
+    std::vector<TopKSelector>& mine = selectors[static_cast<std::size_t>(s)];
+    std::vector<double> scores(static_cast<std::size_t>(panel * nq));
+    std::vector<float> scratch;
+    for (Index p0 = begin; p0 < end; p0 += panel) {
+      const Index rows = std::min(panel, end - p0);
+      std::fill_n(scores.begin(), rows * nq, 0.0);
+      ScoreRows(operand, p0, p0 + rows, scores.data(), &scratch);
+      for (Index j = 0; j < nq; ++j) {
+        TopKSelector& selector = mine[static_cast<std::size_t>(j)];
+        const double* column = scores.data() + j;
+        for (Index i = 0; i < rows; ++i) {
+          selector.Offer(p0 + i, column[i * nq]);
+        }
+      }
     }
   });
+
+  // Merge the shard selectors; RanksBefore is a strict total order, so the
+  // result is independent of how the rows were split.
+  {
+    CSRPLUS_OBS_SCOPED_US(
+        "csrplus.query.topk_select_us",
+        "top-k selection pass per call (block scan or fused shard merge)");
+    CSRPLUS_TRACE_SPAN_ARG(select_span, obs::spans::kTopKSelect, "columns",
+                           nq);
+    for (std::size_t j = 0; j < queries.size(); ++j) {
+      TopKSelector& merged = selectors[0][j];
+      for (std::size_t s = 1; s < selectors.size(); ++s) {
+        merged.Merge(selectors[s][j]);
+      }
+      out[j] = TrimTopK(merged.Take(), k,
+                        exclude_query ? std::span<const Index>(&queries[j], 1)
+                                      : std::span<const Index>());
+    }
+  }
   return out;
 }
 
@@ -481,7 +557,8 @@ Result<std::vector<CsrPlusEngine::ScoredPair>> CsrPlusEngine::AllPairsTopK(
   // order afterwards, so the result equals the serial scan for any thread
   // count.
   const auto better = [](const ScoredPair& x, const ScoredPair& y) {
-    if (x.score != y.score) return x.score > y.score;
+    if (ScoreRanksAbove(x.score, y.score)) return true;
+    if (ScoreRanksAbove(y.score, x.score)) return false;
     return std::tie(x.a, x.b) < std::tie(y.a, y.b);
   };
   const int shards = ParallelShardCount(n, n * n);
@@ -519,33 +596,15 @@ Result<std::vector<CsrPlusEngine::ScoredPair>> CsrPlusEngine::AllPairsTopK(
 
 Result<DenseMatrix> CsrPlusEngine::AllPairs() const {
   const Index n = num_nodes();
-  // f32 scratch: the r x n panel plus the n x n float accumulator.
-  const int64_t scratch_bytes =
-      precision_ == Precision::kF32
-          ? (rank() + n) * static_cast<int64_t>(n) *
-                static_cast<int64_t>(sizeof(float))
-          : 0;
   CSR_RETURN_IF_ERROR(MemoryBudget::Global().TryReserve(
-      n * n * static_cast<int64_t>(sizeof(double)) + scratch_bytes,
+      n * n * static_cast<int64_t>(sizeof(double)) + QueryScratchBytes(n),
       "CSR+ all-pairs output"));
   CSRPLUS_OBS_SCOPED_US("csrplus.phase.query_us",
                         "top-level CSR+ query entry points (Alg. 1 line 7)");
   CSRPLUS_TRACE_SPAN_ARG(span, obs::spans::kQuery, "n", n);
-  if (precision_ == Precision::kF32) {
-    CSRPLUS_OBS_COUNTER_ADD("csrplus.kernel.f32_queries", "calls",
-                            "queries answered by the float32 serving tier",
-                            1);
-    std::vector<Index> all(static_cast<std::size_t>(n));
-    std::iota(all.begin(), all.end(), Index{0});
-    DenseMatrix s = ScaledScoreBlockF32(all);
-    for (Index i = 0; i < n; ++i) s(i, i) += 1.0;
-    return s;
-  }
-  DenseMatrix s = linalg::Gemm(z(), u(), linalg::Transpose::kNo,
-                               linalg::Transpose::kYes);
-  linalg::ScaleInPlace(damping_, &s);
-  for (Index i = 0; i < n; ++i) s(i, i) += 1.0;
-  return s;
+  std::vector<Index> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), Index{0});
+  return ScoreBlock(all);
 }
 
 }  // namespace csrplus::core

@@ -214,9 +214,8 @@ class CsrPlusEngine : public QueryEngine {
   Result<std::vector<double>> SingleSourceQuery(Index query) const;
 
   /// As SingleSourceQuery but writes into a caller-owned vector (resized to
-  /// n), so loops issuing many single-source queries (TopKQuery,
-  /// AllPairsTopK) reuse one buffer instead of allocating an n-length column
-  /// per source.
+  /// n), so loops issuing many single-source queries (AllPairsTopK) reuse
+  /// one buffer instead of allocating an n-length column per source.
   Status SingleSourceQueryInto(Index query,
                                std::vector<double>* out) const override;
 
@@ -226,13 +225,15 @@ class CsrPlusEngine : public QueryEngine {
   /// All-pairs S = I + c Z U^T (n x n dense; budget-guarded).
   Result<DenseMatrix> AllPairs() const;
 
-  /// Top-k most similar nodes for each query, computed one score column at
-  /// a time so memory stays O(n + |Q| k) instead of O(n |Q|). Nodes listed
-  /// in `exclude` (plus each query itself when `exclude_query` is set) are
-  /// skipped. Result is one descending list per query, in query order.
-  Result<std::vector<std::vector<ScoredNode>>> TopKQuery(
-      const std::vector<Index>& queries, Index k, bool exclude_query = true,
-      const std::vector<Index>& exclude = {}) const;
+  /// Fused top-k search (QueryEngine::TopKQuery): row shards compute
+  /// cache-sized panels of Theorem 3.5's [S]_{*,Q} with the same producer
+  /// as MultiSourceQuery and feed them straight into per-query bounded
+  /// selectors, merged under RanksBefore. Lists are bit-identical to
+  /// TopKOfColumn over MultiSourceQuery(queries) for every thread count,
+  /// while the n x |Q| block is never allocated: memory is
+  /// O(|Q| (k + panel)) per shard.
+  Result<TopKLists> TopKQuery(const std::vector<Index>& queries, Index k,
+                              bool exclude_query = true) const override;
 
   /// Similarity join: the k most similar *pairs* (a < b) in the whole
   /// graph, streamed one score column at a time (O(n) working memory plus
@@ -354,10 +355,34 @@ class CsrPlusEngine : public QueryEngine {
   static Result<CsrPlusEngine> LoadPrecomputeMapped(const std::string& path,
                                                     const LoadOptions& options);
 
-  // The f32 query block damping * widen(Z32 [U32]_{Q,*}^T), no diagonal
-  // term. Float accumulation through the dispatched f32 kernels; the
-  // damping multiply and everything downstream stay double.
-  DenseMatrix ScaledScoreBlockF32(const std::vector<Index>& queries) const;
+  // [U]_{Q,*}^T for one query set, r x |Q| row-major in the serving
+  // precision (only the active tier's vector is filled): the B operand of
+  // the tiled NN driver.
+  struct QueryOperand {
+    const std::vector<Index>* queries = nullptr;
+    std::vector<double> f64;
+    std::vector<float> f32;
+  };
+  QueryOperand MakeQueryOperand(const std::vector<Index>& queries) const;
+
+  // Transient bytes of one query call over `num_queries` sources besides
+  // its output, charged against the memory budget: the operand, plus on
+  // the f32 tier one float accumulator panel per shard.
+  int64_t QueryScratchBytes(Index num_queries) const;
+
+  // The one producer of Theorem 3.5's score rows: rows [begin, end) of
+  // [S]_{*,Q} = [I_n]_{*,Q} + c Z [U]_{Q,*}^T, accumulated into the zeroed
+  // row-major `out` (leading dimension |Q|) in cache-sized panels. f64
+  // accumulates through GemmNnTiled and applies the damping multiply after
+  // full accumulation; f32 accumulates in float into `scratch` and widens
+  // with the damping multiply in double. The diagonal 1.0 is added last.
+  // Every element sees the same operations whatever the row range, so
+  // MultiSourceQuery, AllPairs and TopKQuery agree bit for bit.
+  void ScoreRows(const QueryOperand& operand, Index begin, Index end,
+                 double* out, std::vector<float>* scratch) const;
+
+  // The n x |Q| block over ScoreRows (no validation or budget charge).
+  DenseMatrix ScoreBlock(const std::vector<Index>& queries) const;
 
   DenseMatrix u_;  // n x r left singular vectors.
   DenseMatrix z_;  // n x r memoised Z = U (Sigma P Sigma).

@@ -30,6 +30,17 @@ Status ValidateQueries(const std::vector<Index>& queries, Index num_nodes,
   return Status::OK();
 }
 
+Result<TopKLists> QueryEngine::TopKQuery(const std::vector<Index>& queries,
+                                         Index k, bool exclude_query) const {
+  if (k < 0) {
+    return Status::InvalidArgument("k must be non-negative");
+  }
+  CSR_ASSIGN_OR_RETURN(DenseMatrix block, MultiSourceQuery(queries));
+  return TopKOfColumns(block, k,
+                       exclude_query ? std::span<const Index>(queries)
+                                     : std::span<const Index>());
+}
+
 Status SingleSourceViaMultiSource(const QueryEngine& engine, Index query,
                                   std::vector<double>* out) {
   CSR_ASSIGN_OR_RETURN(DenseMatrix block,

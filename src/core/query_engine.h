@@ -9,6 +9,7 @@
 //
 //   std::unique_ptr<core::QueryEngine> engine = ...;   // CSR+, NI, IT, ...
 //   auto block = engine->MultiSourceQuery({q1, q2});
+//   auto lists = engine->TopKQuery({q1, q2}, /*k=*/10);
 //
 // Implementations must be safe for concurrent queries from multiple threads
 // between mutations (most engines hold immutable precomputed state; engines
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/topk.h"
 #include "linalg/dense_matrix.h"
 
 namespace csrplus::core {
@@ -78,6 +80,17 @@ class QueryEngine {
   /// (the property the service layer's micro-batching relies on).
   virtual Result<DenseMatrix> MultiSourceQuery(
       const std::vector<Index>& queries) const = 0;
+
+  /// Top-k search: for each query (in request order) its k most similar
+  /// nodes, best first under RanksBefore, skipping the query node itself
+  /// when `exclude_query` is set. List j must equal TopKOfColumn over column
+  /// j of MultiSourceQuery(queries) bit for bit, so a caller may pick either
+  /// path. The default is exactly that: MultiSourceQuery, then one
+  /// row-major TopKOfColumns pass. Engines that can select without
+  /// materialising the n x |Q| block (CSR+) override it.
+  virtual Result<TopKLists> TopKQuery(const std::vector<Index>& queries,
+                                      Index k,
+                                      bool exclude_query = true) const;
 
   /// Single-source query written into a caller-owned buffer (resized to n).
   virtual Status SingleSourceQueryInto(Index query,

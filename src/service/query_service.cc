@@ -13,11 +13,17 @@
 namespace csrplus::service {
 namespace {
 
-// Response-block charge for admission: the n x |Q| score matrix the request
-// will hold until the client collects it. Top-k extraction is O(k) extra and
-// not worth charging.
-int64_t AdmissionBytes(Index num_nodes, std::size_t num_queries) {
-  return static_cast<int64_t>(num_nodes) * static_cast<int64_t>(num_queries) *
+// Response charge for admission: what the request holds until the client
+// collects it — |Q| top-k lists of at most min(top_k, n) entries, or the
+// n x |Q| score block for a columns request. Engine scratch is charged
+// separately by the engine itself.
+int64_t AdmissionBytes(Index num_nodes, const QueryRequest& request) {
+  const auto num_queries = static_cast<int64_t>(request.queries.size());
+  if (request.top_k > 0) {
+    return num_queries * std::min<int64_t>(request.top_k, num_nodes) *
+           static_cast<int64_t>(sizeof(core::ScoredNode));
+  }
+  return static_cast<int64_t>(num_nodes) * num_queries *
          static_cast<int64_t>(sizeof(double));
 }
 
@@ -181,7 +187,7 @@ Result<QueryService::Ticket> QueryService::Submit(
   if (request.timeout_micros > 0) {
     state->deadline_micros = state->submit_micros + request.timeout_micros;
   }
-  state->admission_bytes = AdmissionBytes(num_nodes, request.queries.size());
+  state->admission_bytes = AdmissionBytes(num_nodes, request);
   state->request = std::move(request);
 
   {
@@ -443,14 +449,13 @@ QueryService::NextBatch() {
   }
 }
 
-Result<DenseMatrix> QueryService::EvaluateBatch(
-    const core::QueryEngine* exact, const std::vector<Index>& union_queries,
-    ServedTier tier) {
-  const core::QueryEngine* engine = EngineFor(exact, tier);
-  const std::size_t slot = tier == ServedTier::kApproximate ? 1 : 0;
+uint64_t QueryService::CacheFingerprint(const core::QueryEngine* engine,
+                                        ServedTier tier) {
   cache::ColumnCache* cache = options_.cache;
-  const uint64_t fp = cache != nullptr ? engine->StateFingerprint() : 0;
-  if (cache != nullptr && fp != served_fingerprint_[slot]) {
+  if (cache == nullptr) return 0;
+  const std::size_t slot = tier == ServedTier::kApproximate ? 1 : 0;
+  const uint64_t fp = engine->StateFingerprint();
+  if (fp != served_fingerprint_[slot]) {
     // The engine generation rotated (full rebuild, engine swap to a
     // different graph, ...): the previous generation's columns can never hit
     // again, so reclaim their bytes now instead of waiting for LRU pressure.
@@ -463,11 +468,18 @@ Result<DenseMatrix> QueryService::EvaluateBatch(
     }
     served_fingerprint_[slot] = fp;
   }
-  if (cache == nullptr || fp == 0) {
+  return fp;
+}
+
+Result<DenseMatrix> QueryService::EvaluateBatch(
+    const core::QueryEngine* engine, const std::vector<Index>& union_queries,
+    uint64_t fp) {
+  if (fp == 0) {
     // Pass-through: no cache configured, or the engine cannot vouch for its
     // state (StateFingerprint contract) — identical to the pre-cache path.
     return engine->MultiSourceQuery(union_queries);
   }
+  cache::ColumnCache* cache = options_.cache;
 
   const Index n = engine->NumNodes();
   const Index cols = static_cast<Index>(union_queries.size());
@@ -554,17 +566,45 @@ void QueryService::DispatcherLoop() {
                                  "distinct queries per micro-batch",
                                  static_cast<uint64_t>(union_queries.size()));
 
-    Result<DenseMatrix> result = [&]() -> Result<DenseMatrix> {
+    // Top-k requests share one selection per column, wide enough for the
+    // largest k plus the query node each request may drop afterwards.
+    const Index n = snapshot->NumNodes();
+    Index max_top_k = 0;
+    bool all_topk = true;
+    for (const auto& state : batch) {
+      max_top_k = std::max(max_top_k, state->request.top_k);
+      all_topk = all_topk && state->request.top_k > 0;
+    }
+    const Index select_k = core::SelectionWidth(max_top_k, 1, n);
+
+    const core::QueryEngine* engine = EngineFor(snapshot.get(), tier);
+    DenseMatrix block;
+    core::TopKLists lists;
+    const Status status = [&]() -> Status {
       CSRPLUS_TRACE_SPAN_ARG(span, obs::spans::kServiceBatch, "num_requests",
                              static_cast<int64_t>(batch.size()));
       CSRPLUS_TRACE_ARG(span, "num_queries",
                         static_cast<int64_t>(union_queries.size()));
       CSRPLUS_OBS_SCOPED_US("csrplus.service.batch_us",
-                            "micro-batch engine execution wall time");
-      return EvaluateBatch(snapshot.get(), union_queries, tier);
+                            "micro-batch engine execution wall time, top-k "
+                            "selection included");
+      const uint64_t fp = CacheFingerprint(engine, tier);
+      if (all_topk && fp == 0) {
+        // No cache to fill and nobody wants columns: the engine selects
+        // without the n x |Q| block (fused on CSR+).
+        CSRPLUS_OBS_COUNTER_ADD("csrplus.service.topk_batches", "batches",
+                                "micro-batches answered by TopKQuery "
+                                "without a score block",
+                                1);
+        CSR_ASSIGN_OR_RETURN(lists, engine->TopKQuery(union_queries, select_k,
+                                                      /*exclude_query=*/false));
+        return Status::OK();
+      }
+      CSR_ASSIGN_OR_RETURN(block, EvaluateBatch(engine, union_queries, fp));
+      if (max_top_k > 0) lists = core::TopKOfColumns(block, select_k);
+      return Status::OK();
     }();
 
-    const Index n = snapshot->NumNodes();
     int64_t released_bytes = 0;
     for (const auto& state : batch) {
       QueryResponse response;
@@ -579,8 +619,21 @@ void QueryService::DispatcherLoop() {
                  obs::NowMicros() > state->deadline_micros) {
         response.status =
             Status::DeadlineExceeded("deadline expired during execution");
-      } else if (!result.ok()) {
-        response.status = result.status().WithContext("batched query failed");
+      } else if (!status.ok()) {
+        response.status = status.WithContext("batched query failed");
+      } else if (state->request.top_k > 0) {
+        // Each request trims the shared lists to its own k, dropping its
+        // query node when asked — equal to selecting alone (RanksBefore is
+        // a strict total order).
+        response.topk.reserve(state->request.queries.size());
+        for (const Index& q : state->request.queries) {
+          response.topk.push_back(core::TrimTopK(
+              lists[static_cast<std::size_t>(col_of[q])],
+              state->request.top_k,
+              state->request.exclude_query ? std::span<const Index>(&q, 1)
+                                           : std::span<const Index>()));
+        }
+        response.status = Status::OK();
       } else {
         // Scatter: column j of this request is column col_of[queries[j]] of
         // the shared block — a pure copy, so the result is bit-identical to
@@ -592,20 +645,10 @@ void QueryService::DispatcherLoop() {
         }
         DenseMatrix scores(n, static_cast<Index>(queries.size()));
         for (Index i = 0; i < n; ++i) {
-          const double* src = result->RowPtr(i);
+          const double* src = block.RowPtr(i);
           double* dst = scores.RowPtr(i);
           for (std::size_t j = 0; j < queries.size(); ++j) {
             dst[j] = src[cols[j]];
-          }
-        }
-        if (state->request.top_k > 0) {
-          response.topk.reserve(queries.size());
-          for (std::size_t j = 0; j < queries.size(); ++j) {
-            std::vector<Index> exclude;
-            if (state->request.exclude_query) exclude.push_back(queries[j]);
-            response.topk.push_back(
-                core::TopKOfColumn(scores, static_cast<Index>(j),
-                                   state->request.top_k, exclude));
           }
         }
         response.scores = std::move(scores);

@@ -6,14 +6,18 @@
 // time: concurrent requests enter a bounded queue, a dispatcher coalesces
 // compatible pending requests into one micro-batch (union of their query
 // sets, deduplicated), runs a single engine evaluation, and scatters the
-// columns back per request. Because the engine contract (query_engine.h)
+// results back per request. Because the engine contract (query_engine.h)
 // guarantees column j depends only on queries[j], the scattered columns are
-// bit-identical to what each request would have computed alone.
+// bit-identical to what each request would have computed alone. A batch of
+// top-k requests with no cache to fill goes through the engine's TopKQuery
+// (fused on CSR+: the n x |Q| block is never built); every other batch
+// evaluates the block, and its top-k requests share one selection pass.
 //
 // Control plane:
 //  * Admission — a bounded submission queue plus a byte charge per request
-//    (n x |Q| doubles for the response block) checked against the global
-//    MemoryBudget. Over either limit => kResourceExhausted, never blocking.
+//    (n x |Q| doubles for a columns response, |Q| x top_k ScoredNodes for a
+//    top-k one) checked against the global MemoryBudget. Over either limit
+//    => kResourceExhausted, never blocking.
 //  * Deadlines — per-request relative timeouts, checked when the dispatcher
 //    pops the request and again before scattering => kDeadlineExceeded.
 //  * Cancellation — cooperative: a queued request completes immediately
@@ -114,7 +118,7 @@ struct ServiceOptions {
   /// deadline at assembly is below this is routed approximate regardless of
   /// queue depth. 0 = off.
   uint64_t shed_headroom_micros = 0;
-  /// Per-service cap on outstanding response-block bytes (admission charge),
+  /// Per-service cap on outstanding response bytes (admission charge),
   /// checked in addition to the process-wide MemoryBudget. This is the
   /// per-tenant isolation knob: the EngineRegistry gives each tenant's
   /// service its own slice so one tenant's burst cannot exhaust the shared
@@ -141,7 +145,8 @@ struct QueryRequest {
 /// Outcome of one request.
 struct QueryResponse {
   Status status;
-  /// n x |queries| score block (empty on error).
+  /// n x |queries| score block for a columns request (top_k == 0). Empty
+  /// when top_k > 0 — the top-k lists are the whole answer — and on error.
   DenseMatrix scores;
   /// Per-query top-k (empty unless top_k > 0).
   std::vector<std::vector<core::ScoredNode>> topk;
@@ -283,14 +288,18 @@ class QueryService {
   /// assembly timestamp shared by the whole batch.
   ServedTier RouteTier(const QueryRequest& request, uint64_t deadline_micros,
                        uint64_t now) const;
-  /// Evaluates one micro-batch's union query set on `tier`'s engine (with
-  /// `exact` the batch's pinned snapshot): straight through when uncached,
-  /// else scatter cached columns / evaluate the miss set / insert fresh
-  /// columns. Dispatcher thread only (touches served_fingerprint_ without a
-  /// lock).
-  Result<DenseMatrix> EvaluateBatch(const core::QueryEngine* exact,
+  /// The fingerprint the cache is served under for `engine` (`tier`'s
+  /// engine for this batch), evicting a rotated generation first; 0 means
+  /// no cache to consult or fill (no cache configured, or the engine cannot
+  /// vouch for its state). Dispatcher thread only (touches
+  /// served_fingerprint_ without a lock).
+  uint64_t CacheFingerprint(const core::QueryEngine* engine, ServedTier tier);
+  /// Evaluates one micro-batch's union query set on `engine` as an n x |Q|
+  /// block: straight through when `fp` is 0, else scatter cached columns /
+  /// evaluate the miss set / insert fresh columns under `fp`.
+  Result<DenseMatrix> EvaluateBatch(const core::QueryEngine* engine,
                                     const std::vector<Index>& union_queries,
-                                    ServedTier tier);
+                                    uint64_t fp);
   /// Pops one micro-batch (holding mu_); finishes cancelled/expired
   /// requests in place; updates the shedding controller and routes every
   /// popped request (batches are tier-homogeneous — coalescing stops at a

@@ -4,7 +4,12 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "common/memory.h"
@@ -19,6 +24,9 @@ namespace {
 using csrplus::testing::Figure1Graph;
 using csrplus::testing::MatricesNear;
 using csrplus::testing::RandomGraph;
+using csrplus::testing::SameTopK;
+using csrplus::testing::ScopedKernelIsa;
+using csrplus::testing::ScopedNumThreads;
 
 TEST(RepeatedSquaringIterationsTest, MatchesAlgorithm1Bound) {
   // c = 0.6, eps = 1e-5: log_c(eps) = 22.54, floor(log2) = 4, +1 = 5.
@@ -358,6 +366,124 @@ TEST(CsrPlusEngineTest, LoadPrecomputeChargesBudgetLikeTheComputePath) {
   EXPECT_TRUE(*q_cold == *q_warm);
 
   std::filesystem::remove_all(dir);
+}
+
+// Rewrites `rows` of the Z section of a v2 artifact (the last section,
+// directly before the 32-byte version trailer) to NaN and reseals the
+// section checksum, so the artifact still loads with every check passing —
+// nothing in the load path inspects factor values.
+void PoisonZRows(const std::string& path, Index n, Index r,
+                 const std::vector<Index>& rows) {
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  in.close();
+  const int64_t payload_bytes = n * r * static_cast<int64_t>(sizeof(double));
+  const int64_t payload_at =
+      static_cast<int64_t>(bytes.size()) - 32 - payload_bytes;
+  int64_t descriptor_end = -1;
+  for (int64_t pad = 0; pad < precompute_io::kSectionAlignment; ++pad) {
+    const int64_t end = payload_at - pad;
+    uint32_t id = 0;
+    uint64_t size = 0;
+    std::memcpy(&id, bytes.data() + end - 24, sizeof(id));
+    std::memcpy(&size, bytes.data() + end - 16, sizeof(size));
+    if (precompute_io::SectionPadBytes(2, end) == pad &&
+        id == precompute_io::kSectionZ &&
+        size == static_cast<uint64_t>(payload_bytes)) {
+      descriptor_end = end;
+      break;
+    }
+  }
+  ASSERT_GE(descriptor_end, 0) << "Z section descriptor not found";
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Index row : rows) {
+    std::memcpy(bytes.data() + payload_at + row * r * 8, &nan, sizeof(nan));
+  }
+  const uint64_t checksum = precompute_io::FnvHash(
+      precompute_io::kFnvOffsetBasis, bytes.data() + payload_at,
+      static_cast<std::size_t>(payload_bytes));
+  std::memcpy(bytes.data() + descriptor_end - 8, &checksum, sizeof(checksum));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(CsrPlusEngineTest, NanScoresRankLastForEveryThreadCountAndIsa) {
+  // A checksum-valid artifact whose Z carries NaN rows: every score column
+  // then holds NaN at those rows. Top-k must still be one well-defined
+  // list — NaN below every number, NaNs ordered by node id — whatever the
+  // shard split, ISA or precision.
+  const Index n = 2048;
+  const Index r = 8;
+  CsrPlusOptions options;
+  options.rank = r;
+  auto built = CsrPlusEngine::Precompute(RandomGraph(n, 12000, 53), options);
+  ASSERT_TRUE(built.ok());
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("csrplus_engine_nan_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "nan.cspc").string();
+  ASSERT_TRUE(built->SavePrecompute(path).ok());
+  const std::vector<Index> nan_rows = {0, 3, 255, 256, 1023, 1024, n - 1};
+  PoisonZRows(path, n, r, nan_rows);
+  auto engine = CsrPlusEngine::LoadPrecompute(path, LoadOptions{});
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  std::vector<Index> queries;
+  for (Index q = 0; q < n; q += n / 16) queries.push_back(q + 1);
+  queries.back() = 3;  // a NaN row as a query: its whole column is NaN
+  for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+    ASSERT_TRUE(engine->SetServingPrecision(precision).ok());
+    std::optional<TopKLists> reference;
+    for (const linalg::kernels::Isa isa : linalg::kernels::SupportedIsas()) {
+      ScopedKernelIsa scoped_isa(isa);
+      for (const int threads : {1, 2, 3, 4, 8}) {
+        ScopedNumThreads scoped(threads);
+        auto lists = engine->TopKQuery(queries, n);
+        ASSERT_TRUE(lists.ok()) << lists.status().ToString();
+        if (!reference) {
+          reference = *lists;
+          // Finite scores first, then the NaN rows in node order.
+          const std::vector<ScoredNode>& first = (*lists)[0];
+          ASSERT_EQ(first.size(), static_cast<std::size_t>(n - 1));
+          for (std::size_t i = 0; i < nan_rows.size(); ++i) {
+            const ScoredNode& tail = first[first.size() - nan_rows.size() + i];
+            EXPECT_TRUE(std::isnan(tail.score));
+            EXPECT_EQ(tail.node, nan_rows[i]);
+          }
+        }
+        auto block = engine->MultiSourceQuery(queries);
+        ASSERT_TRUE(block.ok());
+        for (std::size_t j = 0; j < queries.size(); ++j) {
+          EXPECT_TRUE(SameTopK((*lists)[j], (*reference)[j]))
+              << PrecisionName(precision) << " "
+              << linalg::kernels::IsaName(isa)
+              << " threads=" << threads << " query " << queries[j];
+          EXPECT_TRUE(SameTopK(
+              (*lists)[j], TopKOfColumn(*block, static_cast<Index>(j), n,
+                                        {queries[j]})));
+        }
+      }
+    }
+  }
+
+  // The similarity join uses the same order.
+  ASSERT_TRUE(engine->SetServingPrecision(Precision::kF64).ok());
+  std::optional<std::vector<CsrPlusEngine::ScoredPair>> pairs_reference;
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    ScopedNumThreads scoped(threads);
+    auto pairs = engine->AllPairsTopK(64);
+    ASSERT_TRUE(pairs.ok());
+    if (!pairs_reference) pairs_reference = *pairs;
+    ASSERT_EQ(pairs->size(), pairs_reference->size());
+    for (std::size_t i = 0; i < pairs->size(); ++i) {
+      EXPECT_FALSE(std::isnan((*pairs)[i].score));
+      EXPECT_TRUE((*pairs)[i] == (*pairs_reference)[i])
+          << "threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -22,9 +22,60 @@ namespace {
 
 using csrplus::testing::MatricesNear;
 using csrplus::testing::RandomGraph;
+using csrplus::testing::SameTopK;
 using csrplus::testing::ScopedKernelIsa;
+using csrplus::testing::ScopedNumThreads;
 using linalg::CsrMatrix;
 using linalg::DenseMatrix;
+
+// A bidirectional star: every leaf has the same neighbourhood, so scores
+// against any query tie across all leaves and top-k order is decided by
+// the node-id tie-break alone.
+graph::Graph StarGraph(Index nodes) {
+  graph::GraphBuilder builder(nodes);
+  for (Index leaf = 1; leaf < nodes; ++leaf) {
+    builder.AddEdge(0, leaf);
+    builder.AddEdge(leaf, 0);
+  }
+  auto result = builder.Build();
+  CSR_CHECK(result.ok()) << result.status().ToString();
+  return std::move(result).ValueOrDie();
+}
+
+// Checks TopKQuery(queries, k, exclude) against TopKOfColumn over the
+// engine's own MultiSourceQuery block, bit for bit, for every k in `ks` and
+// both exclude settings. Returns the number of adjacent equal-score pairs
+// seen in the lists (so callers can assert ties were really exercised).
+int64_t ExpectTopKMatchesBlock(const QueryEngine& engine,
+                               const std::vector<Index>& queries,
+                               const std::vector<Index>& ks) {
+  auto block = engine.MultiSourceQuery(queries);
+  EXPECT_TRUE(block.ok()) << block.status().ToString();
+  if (!block.ok()) return 0;
+  int64_t ties = 0;
+  for (const Index k : ks) {
+    for (const bool exclude : {false, true}) {
+      auto lists = engine.TopKQuery(queries, k, exclude);
+      EXPECT_TRUE(lists.ok()) << lists.status().ToString();
+      if (!lists.ok()) continue;
+      EXPECT_EQ(lists->size(), queries.size());
+      if (lists->size() != queries.size()) continue;
+      for (std::size_t j = 0; j < queries.size(); ++j) {
+        const std::vector<Index> skip =
+            exclude ? std::vector<Index>{queries[j]} : std::vector<Index>{};
+        EXPECT_TRUE(SameTopK((*lists)[j],
+                             TopKOfColumn(*block, static_cast<Index>(j), k,
+                                          skip)))
+            << engine.Name() << " query " << queries[j] << " k=" << k
+            << " exclude=" << exclude;
+        for (std::size_t i = 1; i < (*lists)[j].size(); ++i) {
+          ties += (*lists)[j][i].score == (*lists)[j][i - 1].score ? 1 : 0;
+        }
+      }
+    }
+  }
+  return ties;
+}
 
 // Every engine must honour the contract under every kernel ISA this machine
 // can run — the batching and caching layers assume bit-stable answers no
@@ -114,6 +165,53 @@ TEST_P(QueryEngineConformanceTest, RejectsBadQuerySets) {
   EXPECT_TRUE(engine_->MultiSourceQuery({60}).status().IsInvalidArgument());
   std::vector<double> column;
   EXPECT_TRUE(engine_->SingleSourceQueryInto(-3, &column).IsInvalidArgument());
+}
+
+TEST_P(QueryEngineConformanceTest, TopKQueryEqualsFullColumnSelection) {
+  const Index n = engine_->NumNodes();
+  // First and last node, and nodes on either side of the 2-, 3- and 4-way
+  // row-shard split points.
+  const std::vector<Index> queries = {0, n - 1, 14, 15, 19, 20, 29, 30, 44, 45};
+  const std::vector<Index> ks = {0, 1, 10, n - 1, n, n + 5};
+  ExpectTopKMatchesBlock(*engine_, queries, ks);
+  EXPECT_TRUE(engine_->TopKQuery(queries, -1).status().IsInvalidArgument());
+  EXPECT_TRUE(engine_->TopKQuery({}, 3).status().IsInvalidArgument());
+  EXPECT_TRUE(engine_->TopKQuery({n}, 3).status().IsInvalidArgument());
+
+  // Tie-heavy input: on a star every leaf scores alike. Its transition
+  // matrix has rank 2, which CSR-NI needs as the factor rank.
+  const CsrMatrix star = graph::ColumnNormalizedTransition(StarGraph(60));
+  eval::RunConfig config;
+  config.rank = 2;
+  config.ni_fidelity = baselines::NiFidelity::kMixedProduct;
+  auto star_engine = eval::CreateEngine(Method(), star, config);
+  ASSERT_TRUE(star_engine.ok()) << star_engine.status().ToString();
+  ExpectTopKMatchesBlock(**star_engine, queries, ks);
+
+  if (Method() != eval::Method::kCsrPlus) return;
+  // The fused CSR+ kernel: every node is a query (so every panel and shard
+  // boundary holds one), swept over both precisions and pool widths — the
+  // lists must not depend on how rows are split across shards.
+  for (const bool star_input : {false, true}) {
+    CsrPlusOptions options;
+    options.rank = 8;
+    auto engine = CsrPlusEngine::Precompute(
+        star_input ? StarGraph(256) : RandomGraph(256, 1536, 5), options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    std::vector<Index> all(static_cast<std::size_t>(engine->NumNodes()));
+    for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<Index>(i);
+    for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+      ASSERT_TRUE(engine->SetServingPrecision(precision).ok());
+      for (const int threads : {1, 2, 3, 4, 8}) {
+        ScopedNumThreads scoped(threads);
+        const int64_t ties =
+            ExpectTopKMatchesBlock(*engine, all, {1, 10, engine->NumNodes()});
+        if (star_input) {
+          EXPECT_GT(ties, 0) << "the star graph produced no tied scores";
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

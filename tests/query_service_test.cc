@@ -68,6 +68,15 @@ class GatedEngine : public core::QueryEngine {
     while (gated_.load()) std::this_thread::yield();
     return inner_->MultiSourceQuery(queries);
   }
+  // Forwarded (not the default), so a gated CSR+ engine keeps its fused
+  // top-k kernel.
+  Result<core::TopKLists> TopKQuery(const std::vector<Index>& queries,
+                                    Index k,
+                                    bool exclude_query) const override {
+    ++calls_;
+    while (gated_.load()) std::this_thread::yield();
+    return inner_->TopKQuery(queries, k, exclude_query);
+  }
   Status SingleSourceQueryInto(Index query,
                                std::vector<double>* out) const override {
     return inner_->SingleSourceQueryInto(query, out);
@@ -203,6 +212,128 @@ TEST(QueryServiceTest, TopKPerRequestRidesTheSharedBatch) {
   // The query node itself is excluded by default.
   for (const auto& scored : response.topk[0]) EXPECT_NE(scored.node, 3);
   for (const auto& scored : response.topk[1]) EXPECT_NE(scored.node, 41);
+}
+
+struct TopKCase {
+  std::vector<Index> queries;
+  Index top_k;
+  bool exclude_query;
+};
+
+// Submits `cases` behind a gated blocker so they coalesce into one batch
+// (plus a columns request when `with_columns`), then checks every list
+// against the request's own full-column selection.
+void ExpectBatchedTopKMatchesOracles(const core::CsrPlusEngine& engine,
+                                     const std::vector<TopKCase>& cases,
+                                     bool cached, bool with_columns) {
+  SCOPED_TRACE(::testing::Message() << "cached=" << cached
+                                    << " with_columns=" << with_columns);
+  cache::ColumnCache cache;
+  ServiceOptions options;
+  options.cache = cached ? &cache : nullptr;
+  GatedEngine gated(&engine);
+  gated.Close();
+  QueryService service(&gated, options);
+  QueryRequest blocker;
+  blocker.queries = {0};
+  blocker.top_k = 2;
+  auto blocker_ticket = service.Submit(std::move(blocker));
+  ASSERT_TRUE(blocker_ticket.ok());
+  while (gated.calls() == 0) std::this_thread::yield();
+
+  std::vector<QueryService::Ticket> tickets;
+  for (const TopKCase& c : cases) {
+    QueryRequest request;
+    request.queries = c.queries;
+    request.top_k = c.top_k;
+    request.exclude_query = c.exclude_query;
+    auto ticket = service.Submit(std::move(request));
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    tickets.push_back(std::move(*ticket));
+  }
+  std::optional<QueryService::Ticket> columns_ticket;
+  if (with_columns) {
+    QueryRequest columns;
+    columns.queries = {2, 60};
+    auto ticket = service.Submit(std::move(columns));
+    ASSERT_TRUE(ticket.ok());
+    columns_ticket = std::move(*ticket);
+  }
+  gated.Open();
+
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const QueryResponse& response = tickets[i].Wait();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_GT(response.batch_requests, 1);
+    EXPECT_TRUE(response.scores.empty());
+    auto direct = engine.MultiSourceQuery(cases[i].queries);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_EQ(response.topk.size(), cases[i].queries.size());
+    for (std::size_t j = 0; j < cases[i].queries.size(); ++j) {
+      const Index q = cases[i].queries[j];
+      EXPECT_EQ(response.topk[j],
+                core::TopKOfColumn(*direct, static_cast<Index>(j),
+                                   cases[i].top_k,
+                                   cases[i].exclude_query
+                                       ? std::vector<Index>{q}
+                                       : std::vector<Index>{}))
+          << "request " << i << " query " << q;
+    }
+  }
+  if (columns_ticket) {
+    const QueryResponse& response = columns_ticket->Wait();
+    ASSERT_TRUE(response.status.ok());
+    EXPECT_TRUE(response.topk.empty());
+    EXPECT_TRUE(response.scores == *engine.MultiSourceQuery({2, 60}));
+  }
+  blocker_ticket->Wait();
+}
+
+TEST(QueryServiceTest, BatchedTopKMatchesPerRequestOracles) {
+  // Coalesced top-k requests with different k and exclude settings, on the
+  // fused path (no cache) and on the block path a cache or a columns
+  // request forces. One batch keeps every k small (the shared selection is
+  // max k + 1 wide); the other reaches past n = 100 (whole columns).
+  auto engine = MakeEngine();
+  const std::vector<std::vector<TopKCase>> batches = {
+      {{{1, 2, 3}, 5, true},
+       {{2, 3, 4}, 1, false},
+       {{50, 2}, 12, true},
+       {{99, 1, 50}, 3, false}},
+      {{{7}, 99, true}, {{3, 7, 99}, 100, true}, {{0}, 250, false}}};
+  for (const std::vector<TopKCase>& cases : batches) {
+    for (const bool cached : {false, true}) {
+      for (const bool with_columns : {false, true}) {
+        ExpectBatchedTopKMatchesOracles(engine, cases, cached, with_columns);
+      }
+    }
+  }
+}
+
+TEST(QueryServiceTest, TopKRequestsAreChargedForTheirListsOnly) {
+  // Admission charges a top-k request |Q| * top_k ScoredNodes, a columns
+  // request its n x |Q| block: a cap between the two sizes admits the
+  // first and still rejects the second.
+  auto engine = MakeEngine();  // n = 100
+  const int64_t topk_bytes =
+      2 * 5 * static_cast<int64_t>(sizeof(core::ScoredNode));
+  const int64_t block_bytes = 100 * 2 * static_cast<int64_t>(sizeof(double));
+  ServiceOptions options;
+  options.max_outstanding_bytes = (topk_bytes + block_bytes) / 2;
+  QueryService service(&engine, options);
+
+  QueryRequest topk;
+  topk.queries = {4, 9};
+  topk.top_k = 5;
+  const QueryResponse topk_response = service.Query(std::move(topk));
+  EXPECT_TRUE(topk_response.status.ok()) << topk_response.status.ToString();
+  EXPECT_EQ(topk_response.topk.size(), 2u);
+
+  QueryRequest columns;
+  columns.queries = {4, 9};
+  const QueryResponse columns_response = service.Query(std::move(columns));
+  EXPECT_TRUE(columns_response.status.IsResourceExhausted())
+      << columns_response.status.ToString();
 }
 
 TEST(QueryServiceTest, DeadlineExpiredInQueueReturnsTypedError) {
@@ -392,10 +523,14 @@ void RunMultiClientHammer(cache::ColumnCache* cache,
   constexpr int kClients = 8;
   constexpr int kRequestsPerClient = 25;
   std::atomic<int> ok{0}, failed{0};
-  // Each client keeps (queries, scores) pairs; equivalence is verified
+  // Each client keeps its requests and responses; equivalence is verified
   // serially after the join so the engine sees no extra concurrent callers.
-  std::vector<std::vector<std::pair<std::vector<Index>, linalg::DenseMatrix>>>
-      collected(kClients);
+  struct Collected {
+    std::vector<Index> queries;
+    Index top_k = 0;
+    QueryResponse response;
+  };
+  std::vector<std::vector<Collected>> collected(kClients);
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
@@ -417,14 +552,15 @@ void RunMultiClientHammer(cache::ColumnCache* cache,
           }
         }
         std::vector<Index> queries = request.queries;
+        const Index top_k = request.top_k;
         QueryResponse response = service.Query(std::move(request));
         if (!response.status.ok()) {
           ++failed;
           continue;
         }
         ++ok;
-        collected[static_cast<std::size_t>(c)].emplace_back(
-            std::move(queries), std::move(response.scores));
+        collected[static_cast<std::size_t>(c)].push_back(
+            {std::move(queries), top_k, std::move(response)});
       }
     });
   }
@@ -432,10 +568,24 @@ void RunMultiClientHammer(cache::ColumnCache* cache,
   EXPECT_EQ(ok.load(), kClients * kRequestsPerClient);
   EXPECT_EQ(failed.load(), 0);
   for (const auto& per_client : collected) {
-    for (const auto& [queries, scores] : per_client) {
-      auto direct = engine.MultiSourceQuery(queries);
+    for (const Collected& item : per_client) {
+      auto direct = engine.MultiSourceQuery(item.queries);
       ASSERT_TRUE(direct.ok());
-      EXPECT_TRUE(scores == *direct) << "batched result differs";
+      if (item.top_k == 0) {
+        EXPECT_TRUE(item.response.scores == *direct)
+            << "batched result differs";
+        continue;
+      }
+      // Top-k requests carry only their lists, each bit-identical to the
+      // full-column selection over the direct block.
+      EXPECT_TRUE(item.response.scores.empty());
+      ASSERT_EQ(item.response.topk.size(), item.queries.size());
+      for (std::size_t j = 0; j < item.queries.size(); ++j) {
+        EXPECT_EQ(item.response.topk[j],
+                  core::TopKOfColumn(*direct, static_cast<Index>(j),
+                                     item.top_k, {item.queries[j]}))
+            << "batched top-k differs for query " << item.queries[j];
+      }
     }
   }
 }

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "common/parallel.h"
+#include "core/topk.h"
 #include "common/rng.h"
 #include "graph/graph.h"
 #include "linalg/dense_matrix.h"
@@ -134,6 +137,29 @@ inline ::testing::AssertionResult MatricesNear(linalg::DenseMatrixView a,
   if (diff > tol) {
     return ::testing::AssertionFailure()
            << "max abs diff " << diff << " > " << tol;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// gtest predicate: two top-k lists hold the same nodes with bit-identical
+/// scores, in the same order (unlike ScoredNode::operator==, a NaN score
+/// equals a NaN with the same bits).
+inline ::testing::AssertionResult SameTopK(
+    const std::vector<core::ScoredNode>& a,
+    const std::vector<core::ScoredNode>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "list lengths differ: " << a.size() << " vs " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].node != b[i].node ||
+        std::bit_cast<uint64_t>(a[i].score) !=
+            std::bit_cast<uint64_t>(b[i].score)) {
+      return ::testing::AssertionFailure()
+             << "entry " << i << " differs: (" << a[i].node << ", "
+             << a[i].score << ") vs (" << b[i].node << ", " << b[i].score
+             << ")";
+    }
   }
   return ::testing::AssertionSuccess();
 }

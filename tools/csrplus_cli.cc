@@ -554,19 +554,17 @@ int RunQuery(const CliOptions& options) {
     std::fprintf(stderr, "error: %s\n", box.status().ToString().c_str());
     return 1;
   }
-  // Generic dispatch through the QueryEngine interface: one shared
-  // multi-source evaluation, then a per-column top-k selection.
+  // Generic dispatch through the QueryEngine interface: one top-k search
+  // over the whole query set (fused on CSR+, block + selection elsewhere).
   const core::QueryEngine& engine = *box->engine;
-  auto scores = engine.MultiSourceQuery(queries);
-  if (!scores.ok()) {
-    std::fprintf(stderr, "error: %s\n", scores.status().ToString().c_str());
+  auto lists = engine.TopKQuery(queries, options.topk);
+  if (!lists.ok()) {
+    std::fprintf(stderr, "error: %s\n", lists.status().ToString().c_str());
     return 1;
   }
   for (std::size_t j = 0; j < queries.size(); ++j) {
     std::printf("query %ld:\n", static_cast<long>(g->ToOriginal(queries[j])));
-    const auto top = core::TopKOfColumn(*scores, static_cast<Index>(j),
-                                        options.topk, {queries[j]});
-    for (const auto& sn : top) {
+    for (const auto& sn : (*lists)[j]) {
       std::printf("  %8ld  %.6f\n", static_cast<long>(g->ToOriginal(sn.node)),
                   sn.score);
     }
