@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -328,6 +329,111 @@ void RegisterKernelIsaBenchmarks() {
   }
 }
 
+// --- Top-k search ------------------------------------------------------------
+//
+// The paper's search workload at CI scale: a Barabási–Albert graph with
+// n = 2^15, r = 32, batches of |Q| = 16 uniform queries, k = 11 with the
+// query itself kept (what QueryService asks for), single-threaded.
+// BM_TopKQuery/block builds the n x |Q| block and selects from it;
+// BM_TopKQuery/pruned is CsrPlusEngine::TopKQuery's norm-pruned walk. CI
+// gates pruned >= 3x block with tools/check_kernel_speedup.py.
+// BM_TopKQuery/noprune runs the pruned walk on factors whose Z rows all
+// have the same norm, so the bound never prunes and every pair is scored:
+// the walk's worst case.
+
+constexpr Index kTopKNodes = Index{1} << 15;
+constexpr Index kTopKRank = 32;
+constexpr Index kTopKWidth = 11;
+constexpr std::size_t kTopKBatches = 16;
+
+const core::CsrPlusEngine& TopKEngine() {
+  static const core::CsrPlusEngine engine = [] {
+    auto g = graph::BarabasiAlbert(kTopKNodes, 5, 12);
+    CSR_CHECK_OK(g.status());
+    core::CsrPlusOptions options;
+    options.rank = kTopKRank;
+    auto built = core::CsrPlusEngine::Precompute(*g, options);
+    CSR_CHECK_OK(built.status());
+    return *std::move(built);
+  }();
+  return engine;
+}
+
+// Z = U (V = 0 makes H = 0 and P = I; unit singular values make
+// Sigma P Sigma = I) with every entry of U equal to +-1/sqrt(r): every row
+// of Z has the same norm, while the scores still vary with the signs.
+const core::CsrPlusEngine& EqualNormEngine() {
+  static const core::CsrPlusEngine engine = [] {
+    svd::TruncatedSvd factors;
+    factors.u = DenseMatrix(kTopKNodes, kTopKRank);
+    factors.v = DenseMatrix(kTopKNodes, kTopKRank);
+    factors.sigma.assign(static_cast<std::size_t>(kTopKRank), 1.0);
+    Rng rng(17);
+    const double entry = 1.0 / std::sqrt(static_cast<double>(kTopKRank));
+    for (Index i = 0; i < factors.u.size(); ++i) {
+      factors.u.data()[i] = rng.Below(2) ? entry : -entry;
+    }
+    core::CsrPlusOptions options;
+    options.rank = kTopKRank;
+    auto built = core::CsrPlusEngine::PrecomputeFromPaperFactors(
+        std::move(factors), options);
+    CSR_CHECK_OK(built.status());
+    return *std::move(built);
+  }();
+  return engine;
+}
+
+std::vector<std::vector<Index>> TopKBatches() {
+  Rng rng(23);
+  std::vector<std::vector<Index>> batches(kTopKBatches);
+  for (auto& batch : batches) {
+    while (batch.size() < 16) {
+      const auto q = static_cast<Index>(rng.Below(kTopKNodes));
+      if (std::find(batch.begin(), batch.end(), q) == batch.end()) {
+        batch.push_back(q);
+      }
+    }
+  }
+  return batches;
+}
+
+// Engines are built on first use, so filtering these benchmarks out costs
+// nothing.
+void BM_TopKQuery(benchmark::State& state,
+                  const core::CsrPlusEngine& (*engine_of)(), bool pruned) {
+  const core::CsrPlusEngine* engine = &engine_of();
+  const int saved_threads = GetNumThreads();
+  SetNumThreads(1);
+  const std::vector<std::vector<Index>> batches = TopKBatches();
+  // Warm-up outside the timed loop: builds the lazy norm index once.
+  CSR_CHECK_OK(engine->TopKQuery(batches[0], kTopKWidth, false).status());
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const std::vector<Index>& queries = batches[next++ % batches.size()];
+    if (pruned) {
+      auto lists = engine->TopKQuery(queries, kTopKWidth, false);
+      benchmark::DoNotOptimize(lists->data());
+    } else {
+      auto block = engine->MultiSourceQuery(queries);
+      core::TopKLists lists = core::TopKOfColumns(*block, kTopKWidth);
+      benchmark::DoNotOptimize(lists.data());
+    }
+  }
+  SetNumThreads(saved_threads);
+}
+
+void RegisterTopKBenchmarks() {
+  benchmark::RegisterBenchmark("BM_TopKQuery/block", BM_TopKQuery,
+                               &TopKEngine, false)
+      ->Unit(benchmark::kMicrosecond);
+  benchmark::RegisterBenchmark("BM_TopKQuery/pruned", BM_TopKQuery,
+                               &TopKEngine, true)
+      ->Unit(benchmark::kMicrosecond);
+  benchmark::RegisterBenchmark("BM_TopKQuery/noprune", BM_TopKQuery,
+                               &EqualNormEngine, true)
+      ->Unit(benchmark::kMicrosecond);
+}
+
 }  // namespace
 
 // Custom main (instead of BENCHMARK_MAIN): the kernel ISA benchmarks only
@@ -338,6 +444,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   RegisterKernelIsaBenchmarks();
+  RegisterTopKBenchmarks();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <mutex>
 #include <numeric>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "common/memory.h"
@@ -75,7 +78,83 @@ Index PanelRows(Index num_queries, Index rank) {
       8, 1024);
 }
 
+// Euclidean norm of an r-entry row, computed in double with dnrm2-style
+// scaling so that squaring can neither underflow nor overflow. NaN when any
+// entry is NaN, +inf when any entry is infinite.
+template <typename T>
+double RowNorm(const T* row, Index r) {
+  double scale = 0.0;
+  for (Index p = 0; p < r; ++p) {
+    const double a = std::fabs(static_cast<double>(row[p]));
+    if (std::isnan(a)) return a;
+    scale = std::max(scale, a);
+  }
+  if (scale == 0.0 || std::isinf(scale)) return scale;
+  double sum = 0.0;
+  for (Index p = 0; p < r; ++p) {
+    const double x = static_cast<double>(row[p]) / scale;
+    sum += x * x;
+  }
+  return scale * std::sqrt(sum);
+}
+
+// Cauchy-Schwarz bound of one query for the pruned top-k walk: for a row of
+// norm ||Z_i|| it returns a value at or above every *computed* off-diagonal
+// score c <Z_i, U_q>, or NaN when it knows none (a NaN bound never lets a
+// query retire). The derivation is in docs/architecture.md ("Top-k
+// search"): the relative slack covers the dot product's accumulation error
+// (gamma_{r+2} in the accumulation precision) plus the rounding of the
+// norms, the damping multiply and the bound's own products; the absolute
+// term covers subnormal products. Past `limit` the accumulation itself may
+// overflow to +inf (float overflows long before the double bound does), so
+// no finite bound holds there.
+struct QueryBound {
+  double u_norm;     // ||U_q||
+  double factor;     // c (1 + slack)
+  double limit;      // c times a quarter of the accumulation type's max
+  double subnormal;  // (r + 2) denorm_min of the accumulation type
+
+  static QueryBound Make(double u_norm, double damping, Index r, bool f32) {
+    const auto gamma = [](double m, double unit) {
+      return m * unit / (1.0 - m * unit);
+    };
+    const double rank = static_cast<double>(r);
+    const double unit = f32 ? 0x1p-24 : 0x1p-53;
+    const double slack =
+        2.0 * (gamma(rank + 2.0, unit) + gamma(3.0 * rank + 16.0, 0x1p-53));
+    const double max =
+        f32 ? static_cast<double>(std::numeric_limits<float>::max())
+            : std::numeric_limits<double>::max();
+    const double denorm =
+        f32 ? static_cast<double>(std::numeric_limits<float>::denorm_min())
+            : std::numeric_limits<double>::denorm_min();
+    return {u_norm, damping * (1.0 + slack), damping * (max / 4.0),
+            (rank + 2.0) * denorm};
+  }
+
+  double operator()(double z_norm) const {
+    // A zero row on either side makes every product exactly zero.
+    if ((z_norm == 0.0 && std::isfinite(u_norm)) ||
+        (u_norm == 0.0 && std::isfinite(z_norm))) {
+      return 0.0;
+    }
+    const double scaled = (z_norm * u_norm) * factor;
+    return scaled < limit ? scaled + subnormal
+                          : std::numeric_limits<double>::quiet_NaN();
+  }
+};
+
 }  // namespace
+
+// The lazily built norm index of the pruned top-k walk.
+struct CsrPlusEngine::TopKIndex {
+  std::mutex mu;  // guards the three fields below until `built` is set
+  bool built = false;
+  std::vector<double> norms;   // RowNorm of every row of the serving Z
+  std::vector<int32_t> order;  // rows by norm descending, NaN last, then id
+};
+
+CsrPlusEngine::CsrPlusEngine() : topk_index_(std::make_shared<TopKIndex>()) {}
 
 Result<CsrPlusEngine> CsrPlusEngine::Precompute(const graph::Graph& g,
                                                 const CsrPlusOptions& options) {
@@ -213,6 +292,7 @@ Status CsrPlusEngine::SetServingPrecision(Precision precision) {
     precision_ = Precision::kF64;
     std::vector<float>().swap(u32_);
     std::vector<float>().swap(z32_);
+    topk_index_ = std::make_shared<TopKIndex>();
     return Status::OK();
   }
   const Index n = num_nodes();
@@ -230,6 +310,7 @@ Status CsrPlusEngine::SetServingPrecision(Precision precision) {
     z32_[i] = static_cast<float>(z_src[i]);
   }
   precision_ = Precision::kF32;
+  topk_index_ = std::make_shared<TopKIndex>();
   return Status::OK();
 }
 
@@ -463,6 +544,65 @@ Result<double> CsrPlusEngine::SinglePairQuery(Index a, Index b) const {
   return damping_ * dot + (a == b ? 1.0 : 0.0);
 }
 
+double CsrPlusEngine::ScoreEntry(const QueryOperand& operand, Index row,
+                                 Index j) const {
+  const Index r = rank();
+  const Index nq = static_cast<Index>(operand.queries->size());
+  const bool diagonal = (*operand.queries)[static_cast<std::size_t>(j)] == row;
+  // One-element GemmNnTiled + scale: the scalar lane of the panel kernels.
+  if (precision_ == Precision::kF32) {
+    float acc = 0.0f;
+    linalg::kernels::GemmNnTiled(
+        linalg::kernels::F32(), z32_.data() + static_cast<std::size_t>(row * r),
+        r, operand.f32.data() + j, nq, &acc, 1, 1, r, 1);
+    const double score = damping_ * static_cast<double>(acc);
+    return diagonal ? score + 1.0 : score;
+  }
+  const linalg::kernels::KernelTable<double>& kt = linalg::kernels::F64();
+  double score = 0.0;
+  linalg::kernels::GemmNnTiled(kt, z().RowPtr(row), r, operand.f64.data() + j,
+                               nq, &score, 1, 1, r, 1);
+  kt.scale(&score, damping_, 1);
+  return diagonal ? score + 1.0 : score;
+}
+
+Result<const CsrPlusEngine::TopKIndex*> CsrPlusEngine::EnsureTopKIndex()
+    const {
+  TopKIndex& index = *topk_index_;
+  std::lock_guard<std::mutex> lock(index.mu);
+  if (index.built) return &index;
+  const Index n = num_nodes();
+  const Index r = rank();
+  CSR_CHECK(n <= std::numeric_limits<int32_t>::max());
+  CSR_RETURN_IF_ERROR(MemoryBudget::Global().TryReserve(
+      n * static_cast<int64_t>(sizeof(double) + sizeof(int32_t)),
+      "CSR+ top-k norm index"));
+  CSRPLUS_OBS_SCOPED_US("csrplus.query.topk_index_us",
+                        "one-time build of the top-k norm index (row norms "
+                        "of Z and their order)");
+  index.norms.resize(static_cast<std::size_t>(n));
+  const DenseMatrixView z_view = z();
+  ParallelFor(n, n * r, [&](Index begin, Index end) {
+    for (Index i = begin; i < end; ++i) {
+      index.norms[static_cast<std::size_t>(i)] =
+          precision_ == Precision::kF32
+              ? RowNorm(z32_.data() + static_cast<std::size_t>(i * r), r)
+              : RowNorm(z_view.RowPtr(i), r);
+    }
+  });
+  // Norm descending, NaN last, ties by id: RanksBefore on (row, norm).
+  index.order.resize(static_cast<std::size_t>(n));
+  std::iota(index.order.begin(), index.order.end(), 0);
+  const std::vector<double>& norms = index.norms;
+  std::sort(index.order.begin(), index.order.end(),
+            [&norms](int32_t a, int32_t b) {
+              return RanksBefore({a, norms[static_cast<std::size_t>(a)]},
+                                 {b, norms[static_cast<std::size_t>(b)]});
+            });
+  index.built = true;
+  return &index;
+}
+
 Result<TopKLists> CsrPlusEngine::TopKQuery(const std::vector<Index>& queries,
                                            Index k, bool exclude_query) const {
   if (k < 0) {
@@ -473,13 +613,18 @@ Result<TopKLists> CsrPlusEngine::TopKQuery(const std::vector<Index>& queries,
   const Index nq = static_cast<Index>(queries.size());
   const Index r = rank();
   const Index width = SelectionWidth(k, exclude_query ? 1 : 0, n);
+  const bool f32 = precision_ == Precision::kF32;
+  const int64_t elem = f32 ? sizeof(float) : sizeof(double);
   const int shards = ParallelShardCount(n, n * r * nq);
-  const Index panel = PanelRows(nq, r);
-  // Transient scratch: the query operand, one score panel per shard, and the
-  // shard selectors, which hold at most min(width, shard rows) entries each.
+  const Index block = PanelRows(nq, r);
+  // Transient scratch: the query operand; per shard a score panel (plus its
+  // widened copy on the f32 tier) and a compacted operand; and the shard
+  // selectors, which hold at most min(width, shard rows) entries per query.
+  const int64_t panel_bytes =
+      (block + r) * nq * elem +
+      (f32 ? block * nq * static_cast<int64_t>(sizeof(double)) : 0);
   const int64_t scratch_bytes =
-      QueryScratchBytes(nq) +
-      shards * panel * nq * static_cast<int64_t>(sizeof(double)) +
+      r * nq * elem + shards * panel_bytes +
       nq * std::min<int64_t>(n, shards * width) *
           static_cast<int64_t>(sizeof(ScoredNode));
   CSR_RETURN_IF_ERROR(
@@ -494,50 +639,184 @@ Result<TopKLists> CsrPlusEngine::TopKQuery(const std::vector<Index>& queries,
   CSRPLUS_TRACE_ARG(topk_span, "n", n);
   TopKLists out(queries.size());
   if (width == 0) return out;
+  CSR_ASSIGN_OR_RETURN(const TopKIndex* index, EnsureTopKIndex());
+  const std::vector<double>& norms = index->norms;
+  const std::vector<int32_t>& order = index->order;
 
-  // Each shard owns a contiguous row range and one selector per query; a
-  // panel is produced exactly as MultiSourceQuery would, then scanned while
-  // it is still cache-hot.
   const QueryOperand operand = MakeQueryOperand(queries);
-  std::vector<std::vector<TopKSelector>> selectors(
-      static_cast<std::size_t>(shards),
-      std::vector<TopKSelector>(queries.size(), TopKSelector(width)));
-  ParallelForShards(n, shards, [&](int s, Index begin, Index end) {
-    std::vector<TopKSelector>& mine = selectors[static_cast<std::size_t>(s)];
-    std::vector<double> scores(static_cast<std::size_t>(panel * nq));
-    std::vector<float> scratch;
-    for (Index p0 = begin; p0 < end; p0 += panel) {
-      const Index rows = std::min(panel, end - p0);
-      std::fill_n(scores.begin(), rows * nq, 0.0);
-      ScoreRows(operand, p0, p0 + rows, scores.data(), &scratch);
-      for (Index j = 0; j < nq; ++j) {
-        TopKSelector& selector = mine[static_cast<std::size_t>(j)];
-        const double* column = scores.data() + j;
-        for (Index i = 0; i < rows; ++i) {
-          selector.Offer(p0 + i, column[i * nq]);
+  std::vector<QueryBound> bounds;
+  bounds.reserve(queries.size());
+  for (const Index q : queries) {
+    const double u_norm =
+        f32 ? RowNorm(u32_.data() + static_cast<std::size_t>(q * r), r)
+            : RowNorm(u().RowPtr(q), r);
+    bounds.push_back(QueryBound::Make(u_norm, damping_, r, f32));
+  }
+
+  // Shard s walks blocks s, s + S, ... of the norm order, so every later
+  // block of a shard has norms at or below its current block's leading
+  // row. A query's own row carries the diagonal 1, which its bound does not
+  // cover: the walk adds it where it meets the row, as ScoreRows does, and
+  // the merge scores the row if the walk retired before reaching it.
+  const auto keyed = [&norms](Index row) {
+    return ScoredNode{row, norms[static_cast<std::size_t>(row)]};
+  };
+  std::vector<Index> own_position(queries.size());
+  for (std::size_t j = 0; j < queries.size(); ++j) {
+    own_position[j] =
+        std::lower_bound(order.begin(), order.end(), keyed(queries[j]),
+                         [&keyed](int32_t row, const ScoredNode& key) {
+                           return RanksBefore(keyed(row), key);
+                         }) -
+        order.begin();
+  }
+  struct ShardWalk {
+    std::vector<TopKSelector> selectors;
+    std::vector<Index> stopped_at;  // per query: first block not scanned
+    int64_t scored = 0;
+  };
+  std::vector<ShardWalk> walks(static_cast<std::size_t>(shards));
+  const Index num_blocks = (n + block - 1) / block;
+  const auto walk = [&](const auto& kt, const auto* z_data, const auto* bt,
+                        ShardWalk* mine, Index first_block) {
+    using T = std::remove_cvref_t<decltype(*z_data)>;
+    mine->selectors.assign(queries.size(), TopKSelector(width));
+    mine->stopped_at.assign(queries.size(), num_blocks);
+    std::vector<Index> active(queries.size());
+    std::iota(active.begin(), active.end(), Index{0});
+    Index operand_for = -1;  // active-set size the compact operand holds
+    std::vector<T> compact;
+    std::vector<T> acc(static_cast<std::size_t>(block * nq));
+    std::vector<double> widened;  // f32 only: the scores in double
+    for (Index b = first_block; b < num_blocks; b += shards) {
+      const Index begin = b * block;
+      const Index rows = std::min(block, n - begin);
+      const double lead = norms[static_cast<std::size_t>(order[begin])];
+      std::erase_if(active, [&](Index j) {
+        const auto c = static_cast<std::size_t>(j);
+        const TopKSelector& selector = mine->selectors[c];
+        if (!selector.full()) return false;
+        if (!(bounds[c](lead) <= selector.worst().score)) return false;
+        mine->stopped_at[c] = b;
+        return true;
+      });
+      if (active.empty()) break;
+      const Index na = static_cast<Index>(active.size());
+      if (na != operand_for) {
+        compact.resize(static_cast<std::size_t>(r * na));
+        for (Index p = 0; p < r; ++p) {
+          for (Index a = 0; a < na; ++a) {
+            compact[static_cast<std::size_t>(p * na + a)] =
+                bt[p * nq + active[static_cast<std::size_t>(a)]];
+          }
+        }
+        operand_for = na;
+      }
+      // Row by row, straight from Z: GemmNnTiled runs its rows one at a
+      // time anyway, so copying the block's rows together would add only
+      // the copy.
+      std::fill_n(acc.begin(), rows * na, T(0));
+      for (Index t = 0; t < rows; ++t) {
+        linalg::kernels::GemmNnTiled(
+            kt, z_data + static_cast<std::size_t>(order[begin + t]) * r, r,
+            compact.data(), na, acc.data() + t * na, na, 1, r, na);
+      }
+      double* scores = nullptr;
+      if constexpr (std::is_same_v<T, double>) {
+        kt.scale(acc.data(), damping_, rows * na);
+        scores = acc.data();
+      } else {
+        widened.resize(static_cast<std::size_t>(rows * na));
+        for (Index e = 0; e < rows * na; ++e) {
+          widened[static_cast<std::size_t>(e)] =
+              damping_ * static_cast<double>(acc[static_cast<std::size_t>(e)]);
+        }
+        scores = widened.data();
+      }
+      for (Index a = 0; a < na; ++a) {
+        const auto c = static_cast<std::size_t>(active[static_cast<std::size_t>(a)]);
+        const Index own = own_position[c] - begin;
+        if (own >= 0 && own < rows) scores[own * na + a] += 1.0;
+        TopKSelector& selector = mine->selectors[c];
+        for (Index t = 0; t < rows; ++t) {
+          selector.Offer(order[begin + t], scores[t * na + a]);
         }
       }
+      mine->scored += rows * na;
+    }
+  };
+  ParallelForShards(shards, shards, [&](int s, Index, Index) {
+    ShardWalk* mine = &walks[static_cast<std::size_t>(s)];
+    if (f32) {
+      walk(linalg::kernels::F32(), z32_.data(), operand.f32.data(), mine, s);
+    } else {
+      walk(linalg::kernels::F64(), z().data(), operand.f64.data(), mine, s);
     }
   });
 
-  // Merge the shard selectors; RanksBefore is a strict total order, so the
-  // result is independent of how the rows were split.
+  // Merge under RanksBefore (a strict total order, so the result does not
+  // depend on the split), add the query's own row if the walk left it
+  // unscanned, then probe the rows a retired shard left unscanned that
+  // could still tie the kth entry.
+  int64_t scored = 0;
+  for (const ShardWalk& walked : walks) scored += walked.scored;
   {
     CSRPLUS_OBS_SCOPED_US(
         "csrplus.query.topk_select_us",
-        "top-k selection pass per call (block scan or fused shard merge)");
-    CSRPLUS_TRACE_SPAN_ARG(select_span, obs::spans::kTopKSelect, "columns",
-                           nq);
-    for (std::size_t j = 0; j < queries.size(); ++j) {
-      TopKSelector& merged = selectors[0][j];
-      for (std::size_t s = 1; s < selectors.size(); ++s) {
-        merged.Merge(selectors[s][j]);
+        "top-k selection per call (block scan, or shard merge and tie probe)");
+    CSRPLUS_TRACE_SPAN_ARG(select_span, obs::spans::kTopKSelect, "columns", nq);
+    for (Index j = 0; j < nq; ++j) {
+      const auto c = static_cast<std::size_t>(j);
+      const Index q = queries[c];
+      TopKSelector merged = std::move(walks[0].selectors[c]);
+      // The largest bound a shard retired the query at; NaN if none did.
+      double retired_max = std::numeric_limits<double>::quiet_NaN();
+      for (std::size_t s = 0; s < walks.size(); ++s) {
+        if (s > 0) merged.Merge(walks[s].selectors[c]);
+        const Index stop = walks[s].stopped_at[c];
+        if (stop < num_blocks) {
+          retired_max = std::fmax(
+              retired_max,
+              bounds[c](norms[static_cast<std::size_t>(order[stop * block])]));
+        }
       }
-      out[j] = TrimTopK(merged.Take(), k,
-                        exclude_query ? std::span<const Index>(&queries[j], 1)
+      const Index own_block = own_position[c] / block;
+      if (own_block >=
+          walks[static_cast<std::size_t>(own_block % shards)].stopped_at[c]) {
+        merged.Offer(q, ScoreEntry(operand, q, j));
+        ++scored;
+      }
+      // An unscanned row scores at most its bound, which is at most its
+      // shard's retirement bound, which is at most the kth score. It can
+      // still enter only with exactly that score and a smaller id.
+      if (!std::isnan(retired_max) &&
+          retired_max >= merged.worst().score) {
+        std::vector<Index> members;
+        for (const ScoredNode& entry : merged.kept()) {
+          members.push_back(entry.node);
+        }
+        std::sort(members.begin(), members.end());
+        const QueryBound& bound = bounds[c];
+        for (Index i = 0; i < merged.worst().node; ++i) {
+          if (i == q || std::binary_search(members.begin(), members.end(), i) ||
+              std::isnan(norms[static_cast<std::size_t>(i)]) ||
+              bound(norms[static_cast<std::size_t>(i)]) <
+                  merged.worst().score) {
+            continue;
+          }
+          // Re-offering a row the walk already scored is harmless: it lost
+          // to an entry that is still kept or was displaced by a better one.
+          merged.Offer(i, ScoreEntry(operand, i, j));
+          ++scored;
+        }
+      }
+      out[c] = TrimTopK(merged.Take(), k,
+                        exclude_query ? std::span<const Index>(&queries[c], 1)
                                       : std::span<const Index>());
     }
   }
+  CSRPLUS_OBS_COUNTER_ADD("csrplus.query.topk_rows_scored", "pairs",
+                          "row x query scores computed by TopKQuery", scored);
   return out;
 }
 

@@ -225,13 +225,19 @@ class CsrPlusEngine : public QueryEngine {
   /// All-pairs S = I + c Z U^T (n x n dense; budget-guarded).
   Result<DenseMatrix> AllPairs() const;
 
-  /// Fused top-k search (QueryEngine::TopKQuery): row shards compute
-  /// cache-sized panels of Theorem 3.5's [S]_{*,Q} with the same producer
-  /// as MultiSourceQuery and feed them straight into per-query bounded
-  /// selectors, merged under RanksBefore. Lists are bit-identical to
-  /// TopKOfColumn over MultiSourceQuery(queries) for every thread count,
-  /// while the n x |Q| block is never allocated: memory is
-  /// O(|Q| (k + panel)) per shard.
+  /// Exact norm-pruned top-k search (QueryEngine::TopKQuery). Every score
+  /// is an inner product, [S]_{i,q} = delta_iq + c <Z_i, U_q>, so
+  /// Cauchy-Schwarz bounds it by c ||Z_i|| ||U_q||. Row shards walk Z in
+  /// blocks ordered by ||Z_i|| descending (a lazily built index shared by
+  /// engine copies), score each block into one panel for the queries still
+  /// active in that shard, and retire a query once its
+  /// selector is full and the next block's bound cannot beat the kept kth
+  /// entry. Ids that could still tie the merged kth are probed directly.
+  /// The bound dominates the *computed* score (rounding and subnormal terms
+  /// included), and every score is produced by the same operations as
+  /// MultiSourceQuery, so lists are bit-identical to TopKOfColumn over
+  /// MultiSourceQuery(queries) for every thread count, ISA and precision.
+  /// The n x |Q| block is never allocated.
   Result<TopKLists> TopKQuery(const std::vector<Index>& queries, Index k,
                               bool exclude_query = true) const override;
 
@@ -346,7 +352,7 @@ class CsrPlusEngine : public QueryEngine {
   const PrecomputeStats& stats() const { return stats_; }
 
  private:
-  CsrPlusEngine() = default;
+  CsrPlusEngine();
 
   // Mode-specific loaders behind LoadPrecompute; defined in
   // precompute_io.cc.
@@ -384,6 +390,18 @@ class CsrPlusEngine : public QueryEngine {
   // The n x |Q| block over ScoreRows (no validation or budget charge).
   DenseMatrix ScoreBlock(const std::vector<Index>& queries) const;
 
+  // The single score [S]_{row, queries[j]}, by the same operations as the
+  // corresponding ScoreRows element.
+  double ScoreEntry(const QueryOperand& operand, Index row, Index j) const;
+
+  // Row norms ||Z_i|| of the serving tier's Z and the row order of the
+  // pruned top-k walk; built on first use (see EnsureTopKIndex).
+  struct TopKIndex;
+
+  // Returns the top-k index, building it once under a lock on first use
+  // (charging its n * 12 bytes against the memory budget).
+  Result<const TopKIndex*> EnsureTopKIndex() const;
+
   DenseMatrix u_;  // n x r left singular vectors.
   DenseMatrix z_;  // n x r memoised Z = U (Sigma P Sigma).
   DenseMatrix p_;  // r x r subspace fixed point (kept for diagnostics).
@@ -409,6 +427,9 @@ class CsrPlusEngine : public QueryEngine {
   Precision precision_ = Precision::kF64;
   std::vector<float> u32_;
   std::vector<float> z32_;
+  // Shared by engine copies (same factors, same tier); SetServingPrecision
+  // replaces it, since the f32 tier ranks by the norms of z32_.
+  std::shared_ptr<TopKIndex> topk_index_;
 };
 
 /// Computes the iteration bound of Algorithm 1 line 4:

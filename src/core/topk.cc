@@ -60,7 +60,7 @@ TopKLists TopKOfColumns(const linalg::DenseMatrix& scores, Index k,
             static_cast<Index>(exclude_per_column.size()) == cols);
   CSRPLUS_OBS_SCOPED_US(
       "csrplus.query.topk_select_us",
-      "top-k selection pass per call (block scan or fused shard merge)");
+      "top-k selection per call (block scan, or shard merge and tie probe)");
   CSRPLUS_TRACE_SPAN_ARG(span, obs::spans::kTopKSelect, "columns", cols);
   const std::size_t excluded = exclude_per_column.empty() ? 0 : 1;
   std::vector<TopKSelector> selectors(

@@ -73,6 +73,21 @@ class TopKSelector {
     for (const ScoredNode& entry : other.heap_) Offer(entry.node, entry.score);
   }
 
+  /// True once k entries are kept (never for k = 0).
+  bool full() const {
+    return k_ > 0 && static_cast<Index>(heap_.size()) == k_;
+  }
+
+  /// The kept entry that ranks last. Requires full(): from then on an
+  /// offer enters only if it ranks before this entry.
+  const ScoredNode& worst() const {
+    CSR_DCHECK(full());
+    return heap_.front();
+  }
+
+  /// The kept entries, in no particular order.
+  std::span<const ScoredNode> kept() const { return heap_; }
+
   /// The kept entries, best first; leaves the selector empty.
   std::vector<ScoredNode> Take() {
     std::vector<ScoredNode> out = std::move(heap_);

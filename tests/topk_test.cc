@@ -139,6 +139,35 @@ TEST(TopKSelectorTest, ShardMergeEqualsOnePassOnNanAndTies) {
   }
 }
 
+TEST(TopKSelectorTest, FullAndWorstTrackTheKeptKthEntry) {
+  TopKSelector selector(3);
+  EXPECT_FALSE(selector.full());
+  selector.Offer(4, 0.5);
+  selector.Offer(9, kNan);
+  EXPECT_FALSE(selector.full());
+  selector.Offer(2, 0.5);
+  ASSERT_TRUE(selector.full());
+  EXPECT_EQ(selector.worst().node, 9);  // NaN ranks below every number
+  EXPECT_TRUE(std::isnan(selector.worst().score));
+  // A tie on score enters only with a lower id than the kept worst.
+  selector.Offer(7, 0.75);
+  EXPECT_EQ(selector.worst(), (ScoredNode{4, 0.5}));
+  selector.Offer(6, 0.5);
+  EXPECT_EQ(selector.worst(), (ScoredNode{4, 0.5}));
+  selector.Offer(3, 0.5);
+  EXPECT_EQ(selector.worst(), (ScoredNode{3, 0.5}));
+  EXPECT_EQ(selector.kept().size(), 3u);
+  const std::vector<ScoredNode> list = selector.Take();
+  EXPECT_EQ(list, (std::vector<ScoredNode>{{7, 0.75}, {2, 0.5}, {3, 0.5}}));
+  EXPECT_FALSE(selector.full());
+  EXPECT_TRUE(selector.kept().empty());
+  // k = 0 keeps nothing and is never full.
+  TopKSelector none(0);
+  none.Offer(1, 1.0);
+  EXPECT_FALSE(none.full());
+  EXPECT_TRUE(none.kept().empty());
+}
+
 TEST(TopKOfColumnsTest, OnePassEqualsPerColumnSelection) {
   csrplus::Rng rng(3);
   linalg::DenseMatrix m(50, 4);
